@@ -168,7 +168,7 @@ fn run_side(
             counter_addr(&layout, me),
             "counter address must be derivable from the layout alone"
         );
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
+        joins.push(spawn_protocol(vec![(Arc::clone(&shared), Arc::new(NoHooks))], ep));
         shareds.push(shared);
         rxs.push(wake_rx);
     }

@@ -102,7 +102,7 @@ fn machine_cfg(n: usize, block_size: usize, cfg: PredictiveConfig) -> TestMachin
         let (wake_tx, wake_rx) = channel();
         let shared = Arc::new(NodeShared::new(layout, cost, ep.net().clone(), wake_tx));
         let pred = Arc::new(Predictive::new(cfg));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::clone(&pred) as _));
+        joins.push(spawn_protocol(vec![(Arc::clone(&shared), Arc::clone(&pred) as _)], ep));
         nodes.push(TestNode {
             shared,
             pred,

@@ -134,8 +134,9 @@ impl PlacementSpec {
 /// differ only in threading model and process topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
-    /// One channel and one protocol-handler thread per node (the original
-    /// 2-threads-per-node model).
+    /// One inbox and one protocol-handler thread per node (the original
+    /// 2-threads-per-node model): the sharded transport at one shard per
+    /// node, i.e. `sharded:N`.
     Channel,
     /// `shards` shard loops multiplex all protocol handlers over
     /// per-shard inboxes; `0` picks a shard count from the host's

@@ -7,10 +7,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use prescient_core::{AccessTap, Commute, Predictive};
-use prescient_stache::{
-    spawn_protocol, spawn_protocol_shard, Hooks, Msg, NoHooks, NodeShared, Wake,
-};
-use prescient_tempest::fabric::{Endpoint, Fabric, FabricCtl, ShardEndpoint};
+use prescient_stache::{spawn_protocol, Hooks, Msg, NoHooks, NodeShared, Wake};
+use prescient_tempest::fabric::{Fabric, FabricCtl};
 use prescient_tempest::socket::{self, SocketGuard};
 use prescient_tempest::sync::{channel, Mutex, Receiver};
 use prescient_tempest::trace::{merge, to_chrome_json, to_jsonl};
@@ -85,14 +83,6 @@ struct MetricsRt {
     runs: u64,
 }
 
-/// The per-backend endpoint set a machine's fabric produced.
-enum Built {
-    /// One endpoint (and one protocol thread) per node.
-    PerNode(Vec<Endpoint<Msg>>),
-    /// One endpoint (and one protocol thread) per shard.
-    Sharded(Vec<ShardEndpoint<Msg>>),
-}
-
 /// Shard count for `FabricKind::Sharded { shards: 0 }`: half the host's
 /// parallelism — the compute threads need the other half — but at least
 /// one and at most one shard per node.
@@ -120,75 +110,41 @@ impl Machine {
             Some(plan) if plan.is_active() => Some(plan),
             _ => None,
         };
-        let mut fault_stats = None;
-        let mut socket_guard = None;
-        // All three backends present the same `Net`/inbox surface; faults,
+        // Both backends present the same endpoint surface; faults,
         // batching, tracing, and teardown accounting sit above the
-        // `Transport` trait, so the choice here cannot change any gated
-        // counter (the backend-matrix CI job pins that).
-        let mut built = match cfg.fabric {
-            FabricKind::Channel => match active_faults {
-                Some(plan) => {
-                    let (eps, fs) = Fabric::new_faulty_with::<Msg>(cfg.nodes, plan, cfg.batch);
-                    fault_stats = Some(fs);
-                    Built::PerNode(eps)
-                }
-                None => Built::PerNode(Fabric::new_with::<Msg>(cfg.nodes, cfg.batch)),
-            },
-            FabricKind::Sharded { shards } => {
-                let shards = if shards == 0 { auto_shards(cfg.nodes) } else { shards };
-                match active_faults {
-                    Some(plan) => {
-                        let (eps, fs) = Fabric::new_sharded_faulty_with::<Msg>(
-                            cfg.nodes, shards, plan, cfg.batch,
-                        );
-                        fault_stats = Some(fs);
-                        Built::Sharded(eps)
-                    }
-                    None => Built::Sharded(Fabric::new_sharded_with::<Msg>(
-                        cfg.nodes, shards, cfg.batch,
-                    )),
-                }
-            }
+        // `Transport` trait, so neither the backend nor the shard count can
+        // change any gated counter (the backend-matrix CI job pins that).
+        // Every in-process kind is the sharded transport at some shard
+        // count: `channel` is one shard per node.
+        let in_process = |shards| {
+            let (eps, fs) = Fabric::build::<Msg>(cfg.nodes, shards, cfg.batch, active_faults);
+            (eps, fs, None)
+        };
+        let (mut eps, fault_stats, socket_guard) = match cfg.fabric {
+            FabricKind::Channel => in_process(cfg.nodes),
+            FabricKind::Sharded { shards: 0 } => in_process(auto_shards(cfg.nodes)),
+            FabricKind::Sharded { shards } => in_process(shards),
             FabricKind::SocketPair { split } => {
                 let split = if split == 0 { (cfg.nodes / 2).max(1) } else { split };
-                let (eps, guard) = match active_faults {
-                    Some(plan) => {
-                        let (eps, fs, guard) =
-                            socket::pair_faulty_with::<Msg>(cfg.nodes, split, plan, cfg.batch)
-                                .expect("loopback socket fabric");
-                        fault_stats = Some(fs);
-                        (eps, guard)
-                    }
-                    None => socket::pair_with::<Msg>(cfg.nodes, split, None, cfg.batch)
-                        .expect("loopback socket fabric"),
-                };
-                socket_guard = Some(guard);
-                Built::PerNode(eps)
+                let (eps, guard) = socket::pair::<Msg>(cfg.nodes, split, cfg.batch, active_faults)
+                    .expect("loopback socket fabric");
+                (eps, guard.fault_stats().cloned(), Some(guard))
             }
         };
-        let ctl = match &built {
-            Built::PerNode(eps) => eps[0].ctl().clone(),
-            Built::Sharded(eps) => eps[0].ctl().clone(),
-        };
+        let ctl = Arc::clone(eps[0].ctl());
+        let endpoints = eps.len();
         let mut tracers = Vec::with_capacity(cfg.nodes);
         let mut hooks: Vec<Arc<dyn Hooks>> = Vec::with_capacity(cfg.nodes);
         for i in 0..cfg.nodes {
             // The tracer must land on the endpoint *before* its `Net` is
             // cloned into `NodeShared` — both the compute and protocol
-            // sides reach the tracer through that clone.
+            // sides reach the tracer through that clone. Node `i` is hosted
+            // by endpoint `i mod E` on both backends (the socket pair
+            // returns one endpoint per node).
             let tracer = Tracer::for_node(cfg.trace, i as NodeId);
-            let net = match &mut built {
-                Built::PerNode(eps) => {
-                    eps[i].set_tracer(tracer.clone());
-                    eps[i].net().clone()
-                }
-                Built::Sharded(eps) => {
-                    let shard = i % eps.len();
-                    eps[shard].set_tracer(i as NodeId, tracer.clone());
-                    eps[shard].net(i as NodeId).clone()
-                }
-            };
+            let ep = &mut eps[i % endpoints];
+            ep.set_tracer(i as NodeId, tracer.clone());
+            let net = ep.net_of(i as NodeId).clone();
             tracers.push(tracer);
             let (wake_tx, wake_rx) = channel();
             // Every node gets its own view of the block→home mapping: the
@@ -229,24 +185,13 @@ impl Machine {
             shareds.push(shared);
             wake_rxs.push(Some(wake_rx));
         }
-        match built {
-            Built::PerNode(eps) => {
-                for (i, ep) in eps.into_iter().enumerate() {
-                    joins.push(spawn_protocol(Arc::clone(&shareds[i]), ep, Arc::clone(&hooks[i])));
-                }
-            }
-            Built::Sharded(eps) => {
-                for ep in eps {
-                    let members = ep
-                        .members()
-                        .iter()
-                        .map(|&n| {
-                            (Arc::clone(&shareds[n as usize]), Arc::clone(&hooks[n as usize]))
-                        })
-                        .collect();
-                    joins.push(spawn_protocol_shard(members, ep));
-                }
-            }
+        for ep in eps {
+            let members = ep
+                .members()
+                .iter()
+                .map(|&n| (Arc::clone(&shareds[n as usize]), Arc::clone(&hooks[n as usize])))
+                .collect();
+            joins.push(spawn_protocol(members, ep));
         }
         // Metrics plumbing: the hub exists as soon as the machine does, so
         // the publisher streams records live and a scrape during the run

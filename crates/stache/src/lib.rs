@@ -48,5 +48,5 @@ pub use dir::{DirCheckpoint, DirEntry, DirState, Directory};
 pub use engine::{fetch, run_migration_window, Engine, GrantInfo};
 pub use hooks::{Hooks, NoHooks};
 pub use msg::{Msg, UserMsg, Wake};
-pub use node::{spawn_protocol, spawn_protocol_shard, NodeCheckpoint, NodeShared, RetryConfig};
+pub use node::{spawn_protocol, NodeCheckpoint, NodeShared, RetryConfig};
 pub use placement::{Placement, PlacementCheckpoint, PlacementConfig};

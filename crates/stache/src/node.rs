@@ -1,10 +1,11 @@
-//! Per-node shared state and the protocol-handler thread.
+//! Per-node shared state and the protocol-handler loop.
 //!
-//! Each emulated node runs **two** OS threads, mirroring Blizzard on the
-//! CM-5: a *compute* thread executing the application (and blocking on its
-//! own access faults) and a *protocol-handler* thread draining the node's
-//! network inbox (Blizzard ran handlers from the network interrupt). Both
-//! threads share this [`NodeShared`] bundle.
+//! By default each emulated node runs **two** OS threads, mirroring
+//! Blizzard on the CM-5: a *compute* thread executing the application (and
+//! blocking on its own access faults) and a *protocol-handler* loop
+//! draining the node's network inbox (Blizzard ran handlers from the
+//! network interrupt). A sharded fabric lets one handler loop serve the
+//! inboxes of several nodes. Both sides share this [`NodeShared`] bundle.
 //!
 //! Lock ordering: `dir` before extension-internal locks (e.g. the
 //! predictive protocol's schedule/health state) before `mem`; `recalled`
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use prescient_tempest::fabric::{Endpoint, FabricCtl, Net, ShardEndpoint};
+use prescient_tempest::fabric::{Endpoint, FabricCtl, Net};
 use prescient_tempest::sync::{Mutex, Sender};
 use prescient_tempest::trace::{pack_msg, EventKind, Tracer};
 use prescient_tempest::{
@@ -299,68 +300,46 @@ impl NodeCheckpoint {
     }
 }
 
-/// Start the protocol-handler thread for a node: drains `endpoint`,
-/// dispatching every message through the engine until `Msg::Shutdown`.
+/// Start the protocol-handler loop of one endpoint: a single OS thread
+/// drains `ep` and dispatches each envelope through the engine of the
+/// member node it addresses. `members` must match `ep.members()`
+/// one-to-one, in the same (ascending) order. A one-member endpoint is a
+/// node's own handler thread (`proto-<node>`, the default topology); a
+/// multi-member endpoint is a shard loop (`proto-shard-<first member>`).
 ///
-/// On exit the thread marks the fabric as closing before its endpoint is
-/// dropped: from the first `Shutdown` onward, in-flight traffic addressed
-/// to exited nodes (e.g. duplicates released by the fault layer) is
-/// legitimate teardown loss rather than a protocol bug.
+/// A member stops at its `Msg::Shutdown`, and from then on the fabric is
+/// marked closing: in-flight traffic addressed to a stopped member (e.g.
+/// duplicates released by the fault layer) is legitimate teardown loss.
+/// An envelope for a stopped member that reaches a loop still serving
+/// other members is dropped unprocessed and counted through
+/// `FabricCtl::count_teardown_drop`, just as a send to an exited loop's
+/// closed inbox is. The loop exits once every member has stopped, after
+/// pushing out whatever its members' egress buffers still hold.
 pub fn spawn_protocol(
-    shared: Arc<NodeShared>,
-    endpoint: Endpoint<Msg>,
-    hooks: Arc<dyn Hooks>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("proto-{}", shared.me))
-        .spawn(move || {
-            let engine = Engine::new(hooks);
-            while let Some(env) = endpoint.recv() {
-                shared.tracer().emit(
-                    EventKind::MsgRecv,
-                    pack_msg(env.msg.kind_code(), env.src),
-                    env.msg.trace_aux(),
-                );
-                if !engine.handle(&shared, env.src, env.msg) {
-                    break;
-                }
-            }
-            // Replies produced while draining the final batch (before the
-            // Shutdown envelope) may still sit in the egress; push them
-            // out before this endpoint disappears.
-            shared.flush_net();
-            endpoint.ctl().mark_closing();
-        })
-        .expect("spawn protocol thread")
-}
-
-/// Start one shard loop of a sharded fabric: a single OS thread drains
-/// the [`ShardEndpoint`] and dispatches each envelope to the engine of
-/// the member node it addresses, replacing one protocol thread per node
-/// with one per shard. `members` must match `ep.members()` one-to-one,
-/// in the same (ascending) order.
-///
-/// Teardown semantics mirror the per-node loop exactly: once a member has
-/// handled its `Msg::Shutdown`, later envelopes addressed to it are
-/// dropped unprocessed (in the per-node model they would sit in a dead
-/// thread's inbox), and the loop exits when every member has shut down.
-pub fn spawn_protocol_shard(
     members: Vec<(Arc<NodeShared>, Arc<dyn Hooks>)>,
-    ep: ShardEndpoint<Msg>,
+    ep: Endpoint<Msg>,
 ) -> JoinHandle<()> {
+    let name = match ep.members() {
+        [me] => format!("proto-{me}"),
+        m => format!("proto-shard-{}", m[0]),
+    };
     std::thread::Builder::new()
-        .name(format!("proto-shard-{}", ep.shard()))
+        .name(name)
         .spawn(move || {
-            let ids: Vec<NodeId> = members.iter().map(|(s, _)| s.me).collect();
-            assert_eq!(ids, ep.members(), "members must match the shard endpoint");
+            assert!(
+                members.iter().map(|(s, _)| s.me).eq(ep.members().iter().copied()),
+                "members must match the endpoint"
+            );
             let engines: Vec<(Arc<NodeShared>, Engine)> =
                 members.into_iter().map(|(s, h)| (s, Engine::new(h))).collect();
             let mut live = vec![true; engines.len()];
             let mut alive = engines.len();
             while alive > 0 {
                 let Some(env) = ep.recv() else { break };
-                let idx = ids.binary_search(&env.dst).expect("envelope for a non-member node");
+                let idx =
+                    ep.members().binary_search(&env.dst).expect("envelope for a non-member node");
                 if !live[idx] {
+                    ep.ctl().count_teardown_drop(1, env.dst);
                     continue;
                 }
                 let (shared, engine) = &engines[idx];
@@ -372,12 +351,14 @@ pub fn spawn_protocol_shard(
                 if !engine.handle(shared, env.src, env.msg) {
                     live[idx] = false;
                     alive -= 1;
+                    ep.ctl().mark_closing();
                 }
             }
-            for (shared, _) in &engines {
-                shared.flush_net();
-            }
+            // Replies produced while draining the final batch (before the
+            // last Shutdown envelope) may still sit in the egress; push
+            // them out before this endpoint disappears.
+            ep.flush_members();
             ep.ctl().mark_closing();
         })
-        .expect("spawn shard protocol thread")
+        .expect("spawn protocol thread")
 }

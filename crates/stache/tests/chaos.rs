@@ -13,6 +13,11 @@
 //! seeded property checks draw random programs on 3 nodes, clean and
 //! faulty.
 //!
+//! Every fault-injecting case runs twice: with one inbox and handler loop
+//! per node, and with the nodes multiplexed onto two shard loops (see
+//! [`shardings`]), so the multi-member loop's teardown and dispatch paths
+//! see the same chaos as the per-node default.
+//!
 //! All tests use [`FifoMode::Preserving`] delays: Stache's grant/recall
 //! ordering requires point-to-point FIFO (see `faults.rs` for the tests
 //! that document what the `Violating` discipline breaks).
@@ -22,8 +27,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, RetryConfig, Wake};
-use prescient_tempest::fabric::Fabric;
+use prescient_stache::{fetch, spawn_protocol, Hooks, Msg, NoHooks, NodeShared, RetryConfig, Wake};
+use prescient_tempest::fabric::{BatchConfig, Fabric};
 use prescient_tempest::rng::check;
 use prescient_tempest::sync::{channel, Mutex, Receiver};
 use prescient_tempest::{
@@ -108,33 +113,43 @@ struct TestNode {
     stash: Vec<Wake>,
 }
 
+/// The shard counts every fault-injecting case runs at: one inbox per
+/// node (the default topology) and two multi-member shard loops.
+fn shardings(nodes: usize) -> [usize; 2] {
+    [nodes, 2]
+}
+
+/// `nodes` nodes whose inboxes sit on `shards` handler loops; the
+/// returned test nodes are in node order.
 fn build_machine(
     nodes: usize,
+    shards: usize,
     block_size: usize,
     plan: Option<FaultPlan>,
 ) -> (Vec<TestNode>, Vec<JoinHandle<()>>, Option<Arc<FaultStats>>) {
     let layout = GlobalLayout::new(nodes, block_size);
-    let (eps, fstats) = match plan {
-        Some(p) if p.is_active() => {
-            let (eps, fs) = Fabric::new_faulty::<Msg>(nodes, p);
-            (eps, Some(fs))
-        }
-        _ => (Fabric::new::<Msg>(nodes), None),
-    };
+    let plan = plan.filter(FaultPlan::is_active);
+    let (eps, fstats) =
+        Fabric::build::<Msg>(nodes, shards, BatchConfig::default_for_fabric(), plan);
     let mut tns = Vec::new();
     let mut joins = Vec::new();
     for ep in eps {
-        let (wake_tx, wake_rx) = channel();
-        let shared = Arc::new(NodeShared::new_with_retry(
-            layout,
-            CostModel::default(),
-            ep.net().clone(),
-            wake_tx,
-            test_retry(),
-        ));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
-        tns.push(TestNode { shared, wake_rx, stash: Vec::new() });
+        let mut members: Vec<(Arc<NodeShared>, Arc<dyn Hooks>)> = Vec::new();
+        for &me in ep.members() {
+            let (wake_tx, wake_rx) = channel();
+            let shared = Arc::new(NodeShared::new_with_retry(
+                layout,
+                CostModel::default(),
+                ep.net_of(me).clone(),
+                wake_tx,
+                test_retry(),
+            ));
+            members.push((Arc::clone(&shared), Arc::new(NoHooks)));
+            tns.push(TestNode { shared, wake_rx, stash: Vec::new() });
+        }
+        joins.push(spawn_protocol(members, ep));
     }
+    tns.sort_by_key(|tn| tn.shared.me);
     (tns, joins, fstats)
 }
 
@@ -149,16 +164,18 @@ struct RunOutcome {
     faults: Option<Arc<FaultStats>>,
 }
 
-/// Run `phases` on a live machine (optionally faulty), check every read
+/// Run `phases` on a live machine of `nodes` nodes on `shards` handler
+/// loops (optionally faulty), check every read
 /// against the sequential model and the quiescent machine against the
 /// coherence invariants, and return the canonical observations.
 fn run_program(
     nodes: usize,
+    shards: usize,
     block_size: usize,
     plan: Option<FaultPlan>,
     phases: Vec<Phase>,
 ) -> RunOutcome {
-    let (mut tns, _joins, faults) = build_machine(nodes, block_size, plan);
+    let (mut tns, _joins, faults) = build_machine(nodes, shards, block_size, plan);
 
     // Address pool: 4 words homed on every node (some share a block).
     let mut addrs: Vec<GAddr> = Vec::new();
@@ -292,17 +309,20 @@ const NODES: usize = 8;
 fn random_programs_survive_chaos() {
     for seed in [0xC0FFEE_u64, 17, 9001] {
         let program = random_program(seed, NODES as u16, 32, 14);
-        let clean = run_program(NODES, 32, None, program.clone());
-        let chaos = run_program(NODES, 32, Some(FaultPlan::chaos(seed)), program);
-        assert_eq!(
-            clean.observations, chaos.observations,
-            "seed {seed}: chaos run diverged from fault-free run"
-        );
-        let f = chaos.faults.expect("fault layer active").total();
-        assert!(
-            f.delayed + f.duplicated + f.dropped > 0,
-            "seed {seed}: the chaos plan must actually inject faults"
-        );
+        let clean = run_program(NODES, NODES, 32, None, program.clone());
+        for shards in shardings(NODES) {
+            let plan = Some(FaultPlan::chaos(seed));
+            let chaos = run_program(NODES, shards, 32, plan, program.clone());
+            assert_eq!(
+                clean.observations, chaos.observations,
+                "seed {seed}, {shards} shards: chaos run diverged from fault-free run"
+            );
+            let f = chaos.faults.expect("fault layer active").total();
+            assert!(
+                f.delayed + f.duplicated + f.dropped > 0,
+                "seed {seed}: the chaos plan must actually inject faults"
+            );
+        }
     }
 }
 
@@ -313,8 +333,14 @@ fn random_programs_survive_chaos() {
 /// duplicate would double-apply an increment or wedge the waiter queue.
 #[test]
 fn duplicated_requests_are_idempotent() {
+    for shards in shardings(NODES) {
+        duplicated_requests_are_idempotent_on(shards);
+    }
+}
+
+fn duplicated_requests_are_idempotent_on(shards: usize) {
     let plan = FaultPlan::new(7).duplicating(1000);
-    let (tns, _joins, fstats) = build_machine(NODES, 32, Some(plan));
+    let (tns, _joins, fstats) = build_machine(NODES, shards, 32, Some(plan));
     let addr = tns[0].shared.mem.lock().alloc(8, 8);
     let rounds = 12u64;
 
@@ -377,18 +403,20 @@ fn drop_heavy_runs_complete_via_retry() {
     let seed = 0xD20FF_u64;
     let plan = FaultPlan::new(seed).dropping(180).delaying(80, 2);
     let program = random_program(seed, NODES as u16, 24, 10);
-    let clean = run_program(NODES, 32, None, program.clone());
-    let chaos = run_program(NODES, 32, Some(plan), program);
-    assert_eq!(clean.observations, chaos.observations, "drop-heavy run diverged");
-    let f = chaos.faults.expect("fault layer active").total();
-    assert!(f.dropped > 0, "an 18% drop rate must drop something");
-    assert!(
-        chaos.retries > 0,
-        "dropped requests are only survivable by re-issuing; got {} retries",
-        chaos.retries
-    );
+    let clean = run_program(NODES, NODES, 32, None, program.clone());
     assert_eq!(clean.retries, 0, "the fault-free run never needs to retry");
-    assert!(clean.dup_reqs_in <= chaos.dup_reqs_in, "retries surface as duplicates at homes");
+    for shards in shardings(NODES) {
+        let chaos = run_program(NODES, shards, 32, Some(plan), program.clone());
+        assert_eq!(clean.observations, chaos.observations, "drop-heavy run diverged ({shards})");
+        let f = chaos.faults.expect("fault layer active").total();
+        assert!(f.dropped > 0, "an 18% drop rate must drop something");
+        assert!(
+            chaos.retries > 0,
+            "dropped requests are only survivable by re-issuing; got {} retries",
+            chaos.retries
+        );
+        assert!(clean.dup_reqs_in <= chaos.dup_reqs_in, "retries surface as duplicates at homes");
+    }
 }
 
 /// Regression cases distilled from chaos-run shrinking: fixed programs and
@@ -407,9 +435,11 @@ fn regression_duplicated_recall_round() {
         Phase::Reads(vec![(0, 0), (1, 7), (1, 1)]),
     ];
     let plan = FaultPlan::new(3).duplicating(1000).delaying(120, 2);
-    let clean = run_program(NODES, 32, None, phases.clone());
-    let chaos = run_program(NODES, 32, Some(plan), phases);
-    assert_eq!(clean.observations, chaos.observations);
+    let clean = run_program(NODES, NODES, 32, None, phases.clone());
+    for shards in shardings(NODES) {
+        let chaos = run_program(NODES, shards, 32, Some(plan), phases.clone());
+        assert_eq!(clean.observations, chaos.observations, "{shards} shards");
+    }
 }
 
 #[test]
@@ -423,16 +453,18 @@ fn regression_false_sharing_under_drops() {
         Phase::Reads(vec![(0, 1), (1, 2), (0, 5), (1, 6)]),
     ];
     let plan = FaultPlan::new(41).dropping(250);
-    let clean = run_program(NODES, 32, None, phases.clone());
-    let chaos = run_program(NODES, 32, Some(plan), phases);
-    assert_eq!(clean.observations, chaos.observations);
+    let clean = run_program(NODES, NODES, 32, None, phases.clone());
+    for shards in shardings(NODES) {
+        let chaos = run_program(NODES, shards, 32, Some(plan), phases.clone());
+        assert_eq!(clean.observations, chaos.observations, "{shards} shards");
+    }
 }
 
 #[test]
 fn coherence_holds_under_random_phase_programs() {
     check(24, 31, |rng| {
         let block_size = [32, 64, 128][rng.below(3) as usize];
-        run_program(3, block_size, None, rand_phases(rng, 1, 14));
+        run_program(3, 3, block_size, None, rand_phases(rng, 1, 14));
     });
 }
 
@@ -444,7 +476,9 @@ fn coherence_holds_under_duplicated_delivery() {
     check(24, 32, |rng| {
         let phases = rand_phases(rng, 1, 10);
         let plan = FaultPlan::new(rng.next_u64()).duplicating(100 + rng.below(901) as u16);
-        run_program(3, 32, Some(plan), phases);
+        for shards in shardings(3) {
+            run_program(3, shards, 32, Some(plan), phases.clone());
+        }
     });
 }
 
@@ -457,7 +491,9 @@ fn coherence_holds_under_delayed_delivery() {
         let plan = FaultPlan::new(rng.next_u64())
             .delaying(50 + rng.below(350) as u16, 1 + rng.below(3) as u32)
             .duplicating(60);
-        run_program(3, 32, Some(plan), phases);
+        for shards in shardings(3) {
+            run_program(3, shards, 32, Some(plan), phases.clone());
+        }
     });
 }
 
@@ -494,7 +530,7 @@ fn pinned_twelve_phase_case_at_64b_blocks() {
             (6, 0, 8647870685506600900),
         ]),
     ];
-    run_program(3, 64, None, phases);
+    run_program(3, 3, 64, None, phases);
 }
 
 /// A regression-style deterministic case: interleaved writers and readers
@@ -509,7 +545,7 @@ fn deterministic_false_sharing_case() {
         Phase::Writes(vec![(1, 0, 66)]),
         Phase::Reads(vec![(1, 1), (0, 1)]),
     ];
-    run_program(3, 32, None, phases);
+    run_program(3, 3, 32, None, phases);
 }
 
 /// Pinned fault-injection case (regression seed): the same false-sharing
@@ -526,5 +562,7 @@ fn deterministic_false_sharing_case_under_faults() {
         Phase::Reads(vec![(1, 1), (0, 1)]),
     ];
     let plan = FaultPlan::new(0xC0FFEE).duplicating(1000).delaying(150, 3).dropping(60);
-    run_program(3, 32, Some(plan), phases);
+    for shards in shardings(3) {
+        run_program(3, shards, 32, Some(plan), phases.clone());
+    }
 }

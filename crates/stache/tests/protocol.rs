@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use prescient_stache::{fetch, spawn_protocol, Msg, NoHooks, NodeShared, Wake};
-use prescient_tempest::fabric::Fabric;
+use prescient_stache::{fetch, spawn_protocol, Hooks, Msg, NoHooks, NodeShared, Wake};
+use prescient_tempest::fabric::{BatchConfig, Fabric};
 use prescient_tempest::sync::{channel, Mutex, Receiver};
 use prescient_tempest::tag::Tag;
 use prescient_tempest::{CostModel, GAddr, GlobalLayout, Prim, VBarrier};
@@ -30,7 +30,7 @@ fn machine(n: usize, block_size: usize) -> TestMachine {
     for ep in Fabric::new::<Msg>(n) {
         let (wake_tx, wake_rx) = channel();
         let shared = Arc::new(NodeShared::new(layout, cost, ep.net().clone(), wake_tx));
-        joins.push(spawn_protocol(Arc::clone(&shared), ep, Arc::new(NoHooks)));
+        joins.push(spawn_protocol(vec![(Arc::clone(&shared), Arc::new(NoHooks))], ep));
         nodes.push(TestNode { shared, wake_rx, stash: Vec::new() });
     }
     TestMachine { nodes, joins }
@@ -78,6 +78,34 @@ fn write_u64(tn: &mut TestNode, addr: GAddr, v: u64) -> u32 {
             }
         }
     }
+}
+
+/// An envelope that reaches a shard loop for a member that has already
+/// stopped is a teardown drop, counted just as a send to an exited
+/// one-member loop's closed inbox is.
+#[test]
+fn shard_loop_counts_drops_for_stopped_members() {
+    let layout = GlobalLayout::new(2, 32);
+    let (eps, _) = Fabric::build::<Msg>(2, 1, BatchConfig::default_for_fabric(), None);
+    let ep = eps.into_iter().next().expect("one shard");
+    let shareds: Vec<Arc<NodeShared>> = ep
+        .members()
+        .iter()
+        .map(|&me| {
+            let net = ep.net_of(me).clone();
+            Arc::new(NodeShared::new(layout, CostModel::default(), net, channel().0))
+        })
+        .collect();
+    let ctl = Arc::clone(ep.ctl());
+    let members = shareds.iter().map(|s| (Arc::clone(s), Arc::new(NoHooks) as Arc<dyn Hooks>));
+    let join = spawn_protocol(members.collect(), ep);
+    ctl.mark_closing();
+    shareds[0].send(0, Msg::Shutdown);
+    shareds[1].send(0, Msg::Fence);
+    shareds[1].flush_net();
+    shareds[1].send(1, Msg::Shutdown);
+    join.join().unwrap();
+    assert_eq!(ctl.teardown_drops(), 1);
 }
 
 #[test]

@@ -43,17 +43,16 @@
 //! Everything above — egress buffering, the fault layer, tracing,
 //! teardown accounting — is backend-independent. The only thing that
 //! varies is how a finished [`WireBatch`] reaches its destination inbox,
-//! and that is the [`Transport`] trait. Three backends implement it:
+//! and that is the [`Transport`] trait. Two backends implement it:
 //!
-//! * [`ChannelTransport`] — one channel per node, one protocol thread per
-//!   node (the original model; see [`Fabric::new`]).
-//! * [`ShardTransport`] — `S` channels for `n` nodes, node `i`'s inbox
-//!   multiplexed onto shard `i mod S`, so `S` shard loops service all
-//!   protocol handlers (see [`Fabric::new_sharded`] and
-//!   [`ShardEndpoint`]). This is what lets paper-scale node counts run on
-//!   a bounded thread count.
+//! * [`ShardTransport`] — the in-process backend: `S` channels for `n`
+//!   nodes, node `i`'s inbox multiplexed onto shard `i mod S`, each shard
+//!   drained by one [`Endpoint`] hosting its members. `S = n` — one inbox
+//!   and one protocol-handler loop per node ([`Fabric::new`]) — is the
+//!   default topology; `S < n` ([`Fabric::build`]) lets paper-scale node
+//!   counts run on a bounded thread count.
 //! * the socket transport (see [`crate::socket`]) — a node range is local
-//!   (per-node channels) and everything else crosses a TCP stream as
+//!   (one-member endpoints) and everything else crosses a TCP stream as
 //!   length-prefixed frames (see [`crate::wire`]).
 //!
 //! Because the fault layer sits above the trait, a chaos plan produces
@@ -67,7 +66,7 @@ use crate::faults::{FaultHook, FaultPlan, FaultState};
 use crate::stats::{FaultStats, WireSnapshot};
 use crate::sync::{channel, Mutex, Receiver, Sender, TryRecvError};
 use crate::trace::{pack_peer_count, EventKind, Tracer};
-use crate::NodeId;
+use crate::{NodeId, MAX_NODES};
 
 /// One in-flight message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,37 +291,21 @@ pub trait Transport<M: Send>: Send + Sync {
     fn nodes(&self) -> usize;
 }
 
-/// The original backend: one unbounded channel per node, each drained by
-/// that node's own protocol thread.
-pub struct ChannelTransport<M> {
-    txs: Box<[Sender<WireBatch<M>>]>,
-}
-
-impl<M: Send> Transport<M> for ChannelTransport<M> {
-    fn deliver(&self, dst: NodeId, batch: WireBatch<M>) -> Result<(), Undeliverable> {
-        self.txs[dst as usize].send(batch).map_err(|_| Undeliverable)
-    }
-
-    fn nodes(&self) -> usize {
-        self.txs.len()
-    }
-}
-
-/// The sharded backend: `S` channels for `n` nodes, node `i` assigned to
-/// shard `i mod S`. One shard loop (see [`ShardEndpoint`]) services the
-/// protocol handlers of all its members, so a 64-node machine needs `S`
-/// protocol threads instead of 64 — the futex-wakeup churn of the
-/// 2-threads-per-node model was the scaling ceiling this removes.
-/// Per-link FIFO still holds: all traffic for a given destination lands
-/// on one channel, in send order per sender, with a single consumer.
+/// The in-process backend: `S` channels for `n` nodes, node `i` assigned
+/// to shard `i mod S`. One handler loop per shard (see [`Endpoint`])
+/// services the protocol handlers of all its members, so a 64-node
+/// machine can run `S` protocol threads instead of 64. `S = n` is the
+/// one-inbox-per-node default. Per-link FIFO holds: all traffic for a
+/// given destination lands on one channel, in send order per sender,
+/// with a single consumer.
 pub struct ShardTransport<M> {
-    txs: Box<[Sender<ShardFrame<M>>]>,
+    txs: Box<[Sender<Frame<M>>]>,
     nodes: usize,
 }
 
-/// A frame on a shard inbox: the destination member plus its batch. The
-/// shard loop demuxes on the [`NodeId`] to pick the member's handler.
-type ShardFrame<M> = (NodeId, WireBatch<M>);
+/// A frame on an inbox: the destination member plus its batch. The
+/// handler loop demuxes on the [`NodeId`] to pick the member's handler.
+pub(crate) type Frame<M> = (NodeId, WireBatch<M>);
 
 impl<M> ShardTransport<M> {
     /// The shard that hosts `dst`'s inbox.
@@ -540,161 +523,60 @@ pub enum TryRecv<M> {
     Closed,
 }
 
-/// A node's receiving endpoint plus its sending handle.
+/// The receiving end of one inbox plus the sending handles of the nodes
+/// it hosts. A one-member endpoint is a node's own inbox (the default
+/// topology: one handler loop per node); a multi-member endpoint is one
+/// shard of a sharded fabric, drained by a single loop that dispatches
+/// each envelope to the member it addresses (`env.dst`).
 ///
 /// Receives are batch-drained: one channel operation moves a whole
 /// [`WireBatch`] into an internal ring, and subsequent `recv`/`try_recv`
 /// calls pop envelopes from the ring without touching the channel.
-pub struct Endpoint<M> {
-    /// This endpoint's node id.
-    pub me: NodeId,
-    rx: Receiver<WireBatch<M>>,
-    ring: Mutex<VecDeque<Envelope<M>>>,
-    net: Net<M>,
-}
-
-impl<M: Send> Endpoint<M> {
-    /// Block until a message arrives. Returns `None` when the fabric shut
-    /// down (all senders dropped). Before actually blocking, flushes this
-    /// node's own egress buffers — the quiescence rule that keeps batching
-    /// deadlock-free (nothing this node produced can be stuck behind a
-    /// partial batch while it sleeps).
-    pub fn recv(&self) -> Option<Envelope<M>> {
-        if let Some(env) = self.pop_ring() {
-            return Some(env);
-        }
-        loop {
-            match self.rx.try_recv() {
-                Ok(batch) => {
-                    if let Some(env) = self.accept(batch) {
-                        return Some(env);
-                    }
-                }
-                Err(TryRecvError::Disconnected) => return None,
-                Err(TryRecvError::Empty) => {
-                    self.net.flush_all();
-                    match self.rx.recv() {
-                        Ok(batch) => {
-                            if let Some(env) = self.accept(batch) {
-                                return Some(env);
-                            }
-                        }
-                        Err(_) => return None,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive: pops the ring first, then at most one channel
-    /// operation. Does *not* flush the egress (it never blocks).
-    pub fn try_recv(&self) -> TryRecv<M> {
-        if let Some(env) = self.pop_ring() {
-            return TryRecv::Msg(env);
-        }
-        match self.rx.try_recv() {
-            Ok(batch) => match self.accept(batch) {
-                Some(env) => TryRecv::Msg(env),
-                None => TryRecv::Empty,
-            },
-            Err(TryRecvError::Empty) => TryRecv::Empty,
-            Err(TryRecvError::Disconnected) => TryRecv::Closed,
-        }
-    }
-
-    fn pop_ring(&self) -> Option<Envelope<M>> {
-        self.ring.lock().pop_front()
-    }
-
-    /// Unpack a wire batch into the ring and pop its first envelope.
-    /// Singletons skip the ring entirely when it is empty (the common
-    /// demand ping-pong case).
-    fn accept(&self, batch: WireBatch<M>) -> Option<Envelope<M>> {
-        let src = batch.src;
-        self.net.tracer.emit(
-            EventKind::WireRecv,
-            pack_peer_count(src, batch.msgs.len() as u64),
-            batch.id,
-        );
-        let mut ring = self.ring.lock();
-        match batch.msgs {
-            WirePayload::One(msg) if ring.is_empty() => Some(Envelope { src, dst: self.me, msg }),
-            WirePayload::One(msg) => {
-                ring.push_back(Envelope { src, dst: self.me, msg });
-                ring.pop_front()
-            }
-            WirePayload::Many(msgs) => {
-                ring.extend(msgs.into_iter().map(|msg| Envelope { src, dst: self.me, msg }));
-                ring.pop_front()
-            }
-        }
-    }
-
-    /// The sending handle for this node.
-    pub fn net(&self) -> &Net<M> {
-        &self.net
-    }
-
-    /// Install this node's tracing handle. Must run before [`Endpoint::net`]
-    /// is cloned into the protocol layer — clones taken earlier keep the
-    /// handle they were built with (the disabled one).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.net.tracer = tracer;
-    }
-
-    /// The fabric's shared teardown state.
-    pub fn ctl(&self) -> &Arc<FabricCtl> {
-        self.net.ctl()
-    }
-
-    /// Crate-internal assembly, shared by [`Fabric::build`] and the
-    /// socket backend.
-    pub(crate) fn from_parts(me: NodeId, rx: Receiver<WireBatch<M>>, net: Net<M>) -> Endpoint<M> {
-        Endpoint { me, rx, ring: Mutex::new(VecDeque::new()), net }
-    }
-}
-
-/// The receiving end of one shard of a sharded fabric: the multiplexed
-/// inboxes of every node assigned to this shard, plus those nodes'
-/// sending handles. One OS thread drains it and dispatches each envelope
-/// to the owning member's protocol handler — the replacement for the
-/// thread-per-node receive loop.
 ///
-/// The quiescence rule generalizes: before the shard loop blocks, it
-/// flushes the egress of *every* member, since any member's partial
-/// batch may hold the message some other node is waiting for.
-pub struct ShardEndpoint<M> {
-    shard: usize,
-    rx: Receiver<ShardFrame<M>>,
+/// The quiescence rule covers every member: before [`Endpoint::recv`]
+/// blocks, it flushes the egress of *all* members, since any member's
+/// partial batch may hold the message some other node is waiting for.
+pub struct Endpoint<M> {
+    rx: Receiver<Frame<M>>,
     ring: Mutex<VecDeque<Envelope<M>>>,
-    /// Nodes hosted by this shard, ascending; `nets` runs parallel.
+    /// Nodes hosted by this inbox, ascending; `nets` runs parallel.
     members: Vec<NodeId>,
     nets: Vec<Net<M>>,
 }
 
-impl<M: Send> ShardEndpoint<M> {
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
+impl<M: Send> Endpoint<M> {
+    /// Crate-internal assembly, shared by [`Fabric`] and the socket
+    /// backend. `nets` must be in ascending node order.
+    pub(crate) fn new(rx: Receiver<Frame<M>>, nets: Vec<Net<M>>) -> Endpoint<M> {
+        let members: Vec<NodeId> = nets.iter().map(Net::me).collect();
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
+        Endpoint { rx, ring: Mutex::new(VecDeque::new()), members, nets }
     }
 
-    /// The nodes whose inboxes this shard services, ascending.
+    /// The nodes whose inboxes this endpoint services, ascending.
     pub fn members(&self) -> &[NodeId] {
         &self.members
     }
 
     fn local_idx(&self, node: NodeId) -> usize {
-        self.members.binary_search(&node).expect("node is not hosted by this shard")
+        self.members.binary_search(&node).expect("node is not hosted by this endpoint")
+    }
+
+    /// The sending handle of a one-member endpoint. Panics on a shard
+    /// hosting several nodes; use [`Endpoint::net_of`] there.
+    pub fn net(&self) -> &Net<M> {
+        assert_eq!(self.nets.len(), 1, "net() needs a one-member endpoint; use net_of");
+        &self.nets[0]
     }
 
     /// The sending handle of member `node`.
-    pub fn net(&self, node: NodeId) -> &Net<M> {
+    pub fn net_of(&self, node: NodeId) -> &Net<M> {
         &self.nets[self.local_idx(node)]
     }
 
-    /// Install member `node`'s tracing handle. As with
-    /// [`Endpoint::set_tracer`], must run before that member's net is
-    /// cloned into the protocol layer.
+    /// Install member `node`'s tracing handle. Must run before that
+    /// member's net is cloned into the protocol layer — clones taken
+    /// earlier keep the handle they were built with (the disabled one).
     pub fn set_tracer(&mut self, node: NodeId, tracer: Tracer) {
         let i = self.local_idx(node);
         self.nets[i].tracer = tracer;
@@ -705,7 +587,7 @@ impl<M: Send> ShardEndpoint<M> {
         self.nets[0].ctl()
     }
 
-    /// Flush every member's egress buffers — the shard-loop form of the
+    /// Flush every member's egress buffers — the handler-loop form of the
     /// never-block-dirty rule.
     pub fn flush_members(&self) {
         for net in &self.nets {
@@ -714,8 +596,11 @@ impl<M: Send> ShardEndpoint<M> {
     }
 
     /// Block until a message for any member arrives; `env.dst` says which
-    /// member. Returns `None` when the fabric shut down. Flushes every
-    /// member's egress before actually blocking.
+    /// member. Returns `None` when the fabric shut down (all senders
+    /// dropped). Before actually blocking, flushes every member's egress —
+    /// the quiescence rule that keeps batching deadlock-free (nothing a
+    /// member produced can be stuck behind a partial batch while the loop
+    /// sleeps).
     pub fn recv(&self) -> Option<Envelope<M>> {
         if let Some(env) = self.pop_ring() {
             return Some(env);
@@ -743,7 +628,8 @@ impl<M: Send> ShardEndpoint<M> {
         }
     }
 
-    /// Non-blocking receive across all members (never flushes).
+    /// Non-blocking receive: pops the ring first, then at most one channel
+    /// operation. Does *not* flush the egress (it never blocks).
     pub fn try_recv(&self) -> TryRecv<M> {
         if let Some(env) = self.pop_ring() {
             return TryRecv::Msg(env);
@@ -762,11 +648,13 @@ impl<M: Send> ShardEndpoint<M> {
         self.ring.lock().pop_front()
     }
 
+    /// Unpack a wire batch into the ring and pop its first envelope.
+    /// Singletons skip the ring entirely when it is empty (the common
+    /// demand ping-pong case).
     fn accept(&self, dst: NodeId, batch: WireBatch<M>) -> Option<Envelope<M>> {
         let src = batch.src;
-        // The WireRecv event belongs to the *destination member's* trace
-        // stream, exactly as in the per-node backend.
-        self.net(dst).tracer.emit(
+        // The WireRecv event belongs to the destination member's stream.
+        self.net_of(dst).tracer.emit(
             EventKind::WireRecv,
             pack_peer_count(src, batch.msgs.len() as u64),
             batch.id,
@@ -786,154 +674,79 @@ impl<M: Send> ShardEndpoint<M> {
     }
 }
 
-/// Construct a fabric for `n` nodes, returning one endpoint per node.
+/// Construct an in-process fabric for `n` nodes.
 pub struct Fabric;
 
 impl Fabric {
-    /// Build the endpoints with the default (env-overridable) batch
+    /// One endpoint (inbox) per node, default (env-overridable) batch
     /// policy. Endpoint `i` receives everything addressed to node `i`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new<M: Send + 'static>(n: usize) -> Vec<Endpoint<M>> {
         Fabric::new_with(n, BatchConfig::default_for_fabric())
     }
 
-    /// Build the endpoints with an explicit batch policy.
+    /// One endpoint per node with an explicit batch policy.
     pub fn new_with<M: Send + 'static>(n: usize, batch: BatchConfig) -> Vec<Endpoint<M>> {
-        Fabric::build(n, None, batch).0
+        assemble(n, n, None, batch)
     }
 
-    /// Build a fabric whose inter-node links run through the fault layer
-    /// described by `plan`, with the default (env-overridable) batch
-    /// policy. Also returns the per-link fault counters.
-    pub fn new_faulty<M: Send + Clone + 'static>(
-        n: usize,
-        plan: FaultPlan,
-    ) -> (Vec<Endpoint<M>>, Arc<FaultStats>) {
-        Fabric::new_faulty_with(n, plan, BatchConfig::default_for_fabric())
-    }
-
-    /// Build a faulty fabric with an explicit batch policy. The `Clone`
-    /// bound lives here, not on [`Net::send`]: only the duplication fault
-    /// ever clones a payload, so clean fabrics carry non-`Clone` types.
-    pub fn new_faulty_with<M: Send + Clone + 'static>(
-        n: usize,
-        plan: FaultPlan,
-        batch: BatchConfig,
-    ) -> (Vec<Endpoint<M>>, Arc<FaultStats>) {
-        let faults = Arc::new(FaultState::new(n, plan));
-        let stats = Arc::clone(faults.stats());
-        let (eps, _) = Fabric::build(n, Some(faults as Arc<dyn FaultHook<M>>), batch);
-        (eps, stats)
-    }
-
-    /// Build a sharded fabric: `n` node inboxes multiplexed onto
-    /// `shards` shard endpoints (clamped to `1..=n`), default batch
-    /// policy. Node `i` is serviced by shard `i mod shards`.
-    pub fn new_sharded<M: Send + 'static>(n: usize, shards: usize) -> Vec<ShardEndpoint<M>> {
-        Fabric::new_sharded_with(n, shards, BatchConfig::default_for_fabric())
-    }
-
-    /// Sharded fabric with an explicit batch policy.
-    pub fn new_sharded_with<M: Send + 'static>(
+    /// The general form: `n` node inboxes on `shards` endpoints (clamped
+    /// to `1..=n`; node `i` is hosted by endpoint `i mod shards`), an
+    /// explicit batch policy, and — given a plan — inter-node links
+    /// through the fault layer, whose per-link counters come back
+    /// alongside. The `Clone` bound lives here, not on [`Net::send`]:
+    /// only the duplication fault ever clones a payload, so the clean
+    /// constructors carry non-`Clone` types.
+    pub fn build<M: Send + Clone + 'static>(
         n: usize,
         shards: usize,
         batch: BatchConfig,
-    ) -> Vec<ShardEndpoint<M>> {
-        Fabric::build_sharded(n, shards, None, batch)
+        faults: Option<FaultPlan>,
+    ) -> (Vec<Endpoint<M>>, Option<Arc<FaultStats>>) {
+        let (faults, stats) = faults.map(|plan| fault_layer(n, plan)).unzip();
+        (assemble(n, shards, faults, batch), stats)
     }
+}
 
-    /// Sharded fabric whose inter-node links run through the fault layer.
-    pub fn new_sharded_faulty_with<M: Send + Clone + 'static>(
-        n: usize,
-        shards: usize,
-        plan: FaultPlan,
-        batch: BatchConfig,
-    ) -> (Vec<ShardEndpoint<M>>, Arc<FaultStats>) {
-        let faults = Arc::new(FaultState::new(n, plan));
-        let stats = Arc::clone(faults.stats());
-        let eps = Fabric::build_sharded(n, shards, Some(faults as Arc<dyn FaultHook<M>>), batch);
-        (eps, stats)
-    }
+/// The fault layer `plan` describes for an `n`-node fabric: the hook every
+/// `Net` runs inter-node envelopes through, and its per-link counters.
+pub(crate) fn fault_layer<M: Send + Clone + 'static>(
+    n: usize,
+    plan: FaultPlan,
+) -> (Arc<dyn FaultHook<M>>, Arc<FaultStats>) {
+    let state = Arc::new(FaultState::new(n, plan));
+    let stats = Arc::clone(state.stats());
+    (state, stats)
+}
 
-    fn build<M: Send + 'static>(
-        n: usize,
-        faults: Option<Arc<dyn FaultHook<M>>>,
-        batch: BatchConfig,
-    ) -> (Vec<Endpoint<M>>, Arc<FabricCtl>) {
-        assert!(n <= 64, "egress dirty mask caps the fabric at 64 nodes");
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<WireBatch<M>>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let transport: Arc<dyn Transport<M>> =
-            Arc::new(ChannelTransport { txs: txs.into_boxed_slice() });
-        let ctl = Arc::new(FabricCtl::default());
-        let eps = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                let net = make_net(
-                    i as NodeId,
-                    n,
-                    Arc::clone(&transport),
-                    Arc::clone(&ctl),
-                    faults.clone(),
-                    batch,
-                );
-                Endpoint::from_parts(i as NodeId, rx, net)
-            })
-            .collect();
-        (eps, ctl)
+/// The builder behind every in-process constructor: `shards` inboxes on
+/// one [`ShardTransport`], node `i` hosted by inbox `i mod shards`.
+fn assemble<M: Send + 'static>(
+    n: usize,
+    shards: usize,
+    faults: Option<Arc<dyn FaultHook<M>>>,
+    batch: BatchConfig,
+) -> Vec<Endpoint<M>> {
+    assert!(n <= MAX_NODES, "egress dirty mask caps the fabric at {MAX_NODES} nodes");
+    assert!(n > 0, "a fabric needs at least one node");
+    let shards = shards.clamp(1, n);
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| channel::<Frame<M>>()).unzip();
+    let transport: Arc<dyn Transport<M>> =
+        Arc::new(ShardTransport { txs: txs.into_boxed_slice(), nodes: n });
+    let ctl = Arc::new(FabricCtl::default());
+    let mut nets: Vec<Vec<Net<M>>> = (0..shards).map(|_| Vec::new()).collect();
+    for i in 0..n {
+        let net = make_net(
+            i as NodeId,
+            n,
+            Arc::clone(&transport),
+            Arc::clone(&ctl),
+            faults.clone(),
+            batch,
+        );
+        nets[i % shards].push(net);
     }
-
-    fn build_sharded<M: Send + 'static>(
-        n: usize,
-        shards: usize,
-        faults: Option<Arc<dyn FaultHook<M>>>,
-        batch: BatchConfig,
-    ) -> Vec<ShardEndpoint<M>> {
-        assert!(n <= 64, "egress dirty mask caps the fabric at 64 nodes");
-        assert!(n > 0, "a fabric needs at least one node");
-        let shards = shards.clamp(1, n);
-        let mut txs = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = channel::<ShardFrame<M>>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let transport: Arc<dyn Transport<M>> =
-            Arc::new(ShardTransport { txs: txs.into_boxed_slice(), nodes: n });
-        let ctl = Arc::new(FabricCtl::default());
-        let mut eps: Vec<ShardEndpoint<M>> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| ShardEndpoint {
-                shard: s,
-                rx,
-                ring: Mutex::new(VecDeque::new()),
-                members: Vec::new(),
-                nets: Vec::new(),
-            })
-            .collect();
-        for i in 0..n {
-            let net = make_net(
-                i as NodeId,
-                n,
-                Arc::clone(&transport),
-                Arc::clone(&ctl),
-                faults.clone(),
-                batch,
-            );
-            let ep = &mut eps[i % shards];
-            ep.members.push(i as NodeId);
-            ep.nets.push(net);
-        }
-        eps
-    }
+    rxs.into_iter().zip(nets).map(|(rx, nets)| Endpoint::new(rx, nets)).collect()
 }
 
 #[cfg(test)]
@@ -959,10 +772,20 @@ mod tests {
     fn self_send() {
         // Self-sends bypass the egress buffer and go straight on the
         // wire: visible via try_recv (which never flushes) with no
-        // explicit flush — a node can always reach its own handler.
+        // explicit flush — a node can always reach its own handler,
+        // whether its inbox is its own or shared with other members.
         let eps = Fabric::new::<&'static str>(1);
         eps[0].net().send(0, "hello");
         assert!(matches!(eps[0].try_recv(), TryRecv::Msg(env) if env.msg == "hello"));
+        for shards in [4, 2] {
+            let (eps, _) =
+                Fabric::build::<&'static str>(4, shards, BatchConfig::default_for_fabric(), None);
+            eps[1].net_of(1).send(1, "wake");
+            assert!(
+                matches!(eps[1].try_recv(), TryRecv::Msg(env) if env.msg == "wake" && env.dst == 1),
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]
@@ -1076,22 +899,33 @@ mod tests {
 
     #[test]
     fn teardown_drops_are_counted_after_closing() {
-        let mut eps = Fabric::new::<u8>(2);
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        let net0 = e0.net().clone();
-        net0.ctl().mark_closing();
-        drop(e1);
-        net0.send(1, 42);
-        net0.flush_all();
-        assert_eq!(net0.ctl().teardown_drops(), 1);
-        drop(e0);
+        // Once an endpoint is gone, sends to any of its members count as
+        // teardown drops on the shared ctl; every other node, including
+        // one sharing the sender's shard, stays reachable.
+        for shards in [4, 2] {
+            let (mut eps, _) =
+                Fabric::build::<u8>(4, shards, BatchConfig::default_for_fabric(), None);
+            let gone = eps.remove(1);
+            let dead = gone.members().to_vec();
+            assert_eq!(dead, if shards == 4 { vec![1] } else { vec![1, 3] });
+            let net0 = eps[0].net_of(0).clone();
+            net0.ctl().mark_closing();
+            drop(gone);
+            for dst in 1..4 {
+                net0.send(dst, 42);
+                net0.flush_all();
+                let want = dead.iter().filter(|&&d| d <= dst).count() as u64;
+                assert_eq!(net0.ctl().teardown_drops(), want, "{shards} shards, after dst {dst}");
+            }
+        }
     }
 
     #[test]
     fn faulty_fabric_preserving_keeps_per_link_fifo() {
         let plan = FaultPlan::new(77).delaying(200, 4).duplicating(100);
-        let (eps, stats) = Fabric::new_faulty::<u32>(2, plan);
+        let (eps, stats) =
+            Fabric::build::<u32>(2, 2, BatchConfig::default_for_fabric(), Some(plan));
+        let stats = stats.expect("faulty fabric");
         for i in 0..500 {
             eps[0].net().send(1, i);
         }
@@ -1117,7 +951,8 @@ mod tests {
         let plan = FaultPlan::chaos(0xC0FFEE);
         let mut runs = Vec::new();
         for max in [1usize, 4, 16, 64] {
-            let (eps, stats) = Fabric::new_faulty_with::<u32>(2, plan, BatchConfig::new(max));
+            let (eps, stats) = Fabric::build::<u32>(2, 2, BatchConfig::new(max), Some(plan));
+            let stats = stats.expect("faulty fabric");
             for i in 0..800 {
                 eps[0].net().send(1, i);
             }
@@ -1138,7 +973,9 @@ mod tests {
     #[test]
     fn faulty_fabric_duplicates_arrive() {
         let plan = FaultPlan::new(13).duplicating(1000); // every message doubled
-        let (eps, stats) = Fabric::new_faulty::<u32>(2, plan);
+        let (eps, stats) =
+            Fabric::build::<u32>(2, 2, BatchConfig::default_for_fabric(), Some(plan));
+        let stats = stats.expect("faulty fabric");
         for i in 0..10 {
             eps[0].net().send(1, i);
         }
@@ -1154,29 +991,33 @@ mod tests {
 
     #[test]
     fn faulty_fabric_never_touches_self_sends() {
-        let plan = FaultPlan::new(1).dropping(1000);
-        let (eps, stats) = Fabric::new_faulty::<u32>(2, plan);
-        for i in 0..50 {
-            eps[0].net().send(0, i);
+        for shards in [4, 2] {
+            let plan = FaultPlan::new(1).dropping(1000);
+            let (eps, stats) = Fabric::build::<u32>(4, shards, BatchConfig::new(8), Some(plan));
+            let ep = &eps[2 % shards];
+            for i in 0..50 {
+                ep.net_of(2).send(2, i);
+            }
+            ep.flush_members();
+            let mut got = Vec::new();
+            while let TryRecv::Msg(env) = ep.try_recv() {
+                assert_eq!(env.dst, 2);
+                got.push(env.msg);
+            }
+            assert_eq!(got, (0..50).collect::<Vec<_>>(), "{shards} shards");
+            assert_eq!(stats.expect("faulty fabric").total().dropped, 0);
         }
-        eps[0].net().flush_all();
-        let mut got = Vec::new();
-        while let TryRecv::Msg(env) = eps[0].try_recv() {
-            got.push(env.msg);
-        }
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
-        assert_eq!(stats.total().dropped, 0);
     }
 
     #[test]
     fn sharded_fabric_keeps_per_link_fifo() {
         // 5 nodes on 2 shards: shard 0 hosts {0,2,4}, shard 1 hosts {1,3}.
-        let eps = Fabric::new_sharded_with::<u32>(5, 2, BatchConfig::new(8));
+        let (eps, _) = Fabric::build::<u32>(5, 2, BatchConfig::new(8), None);
         assert_eq!(eps[0].members(), &[0, 2, 4]);
         assert_eq!(eps[1].members(), &[1, 3]);
         for i in 0..200 {
-            eps[0].net(0).send(3, i);
-            eps[0].net(2).send(3, 1000 + i);
+            eps[0].net_of(0).send(3, i);
+            eps[0].net_of(2).send(3, 1000 + i);
         }
         eps[0].flush_members();
         let (mut from0, mut from2) = (vec![], vec![]);
@@ -1193,92 +1034,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_self_send_reaches_own_shard_unflushed() {
-        let eps = Fabric::new_sharded::<&'static str>(4, 2);
-        eps[1].net(1).send(1, "wake");
-        assert!(
-            matches!(eps[1].try_recv(), TryRecv::Msg(env) if env.msg == "wake" && env.dst == 1)
-        );
-    }
-
-    #[test]
-    fn sharded_teardown_drops_are_counted_after_closing() {
-        // Mirror of teardown_drops_are_counted_after_closing for the
-        // sharded backend: once a shard's endpoint is gone, sends to any
-        // of its members count as teardown drops on the shared ctl.
-        let mut eps = Fabric::new_sharded::<u8>(4, 2);
-        let shard1 = eps.pop().unwrap();
-        let shard0 = eps.pop().unwrap();
-        let net0 = shard0.net(0).clone();
-        net0.ctl().mark_closing();
-        drop(shard1); // nodes 1 and 3 disappear
-        net0.send(1, 42);
-        net0.send(3, 43);
-        net0.flush_all();
-        assert_eq!(net0.ctl().teardown_drops(), 2);
-        net0.send(2, 44); // same-shard member still reachable
-        net0.flush_all();
-        assert_eq!(net0.ctl().teardown_drops(), 2);
-        drop(shard0);
-    }
-
-    #[test]
-    fn sharded_faulty_fabric_never_touches_self_sends() {
-        let plan = FaultPlan::new(1).dropping(1000);
-        let (eps, stats) = Fabric::new_sharded_faulty_with::<u32>(4, 2, plan, BatchConfig::new(8));
-        for i in 0..50 {
-            eps[0].net(2).send(2, i);
-        }
-        eps[0].flush_members();
-        let mut got = Vec::new();
-        while let TryRecv::Msg(env) = eps[0].try_recv() {
-            assert_eq!(env.dst, 2);
-            got.push(env.msg);
-        }
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
-        assert_eq!(stats.total().dropped, 0);
-    }
-
-    #[test]
-    fn sharded_chaos_matches_per_node_chaos() {
+    fn chaos_is_shard_count_invariant() {
         // Same seed, same send sequence: the surviving envelope sequence
-        // on a link must not depend on the backend, because the fault
-        // layer sits above the transport.
-        let run_per_node = || {
-            let (eps, _) =
-                Fabric::new_faulty_with::<u32>(2, FaultPlan::chaos(0xFAB), BatchConfig::new(4));
+        // on a link must not depend on how inboxes are sharded, because
+        // the fault layer sits above the transport. At n = 2, two shards
+        // is one inbox per node.
+        let run = |shards| {
+            let plan = FaultPlan::chaos(0xFAB);
+            let (eps, _) = Fabric::build::<u32>(2, shards, BatchConfig::new(4), Some(plan));
             for i in 0..600 {
-                eps[0].net().send(1, i);
-            }
-            eps[0].net().flush_all();
-            let mut got = Vec::new();
-            while let TryRecv::Msg(env) = eps[1].try_recv() {
-                got.push(env.msg);
-            }
-            got
-        };
-        let run_sharded = |shards| {
-            let (eps, _) = Fabric::new_sharded_faulty_with::<u32>(
-                2,
-                shards,
-                FaultPlan::chaos(0xFAB),
-                BatchConfig::new(4),
-            );
-            for i in 0..600 {
-                eps[0].net(0).send(1, i);
+                eps[0].net_of(0).send(1, i);
             }
             eps[0].flush_members();
-            let sink = if shards == 1 { &eps[0] } else { &eps[1] };
+            let sink = &eps[1 % shards];
             let mut got = Vec::new();
             while let TryRecv::Msg(env) = sink.try_recv() {
                 got.push(env.msg);
             }
             got
         };
-        let baseline = run_per_node();
-        assert!(!baseline.is_empty());
-        assert_eq!(run_sharded(1), baseline);
-        assert_eq!(run_sharded(2), baseline);
+        let per_node = run(2);
+        assert!(!per_node.is_empty());
+        assert_eq!(run(1), per_node);
     }
 
     #[test]
@@ -1293,7 +1070,7 @@ mod tests {
     #[test]
     fn faulty_fabric_violating_mode_reorders() {
         let plan = FaultPlan::new(5).delaying(400, 6).fifo_violating();
-        let (eps, _) = Fabric::new_faulty::<u32>(2, plan);
+        let (eps, _) = Fabric::build::<u32>(2, 2, BatchConfig::default_for_fabric(), Some(plan));
         for i in 0..1000 {
             eps[0].net().send(1, i);
         }

@@ -2,17 +2,17 @@
 //! connection ends, so two OS processes can each host half of a machine.
 //!
 //! Each side hosts a contiguous [`NodeRange`]. A batch addressed inside
-//! the local range takes a per-node channel exactly like the
-//! [`crate::fabric::ChannelTransport`]; a batch addressed outside it is
-//! encoded as a length-prefixed frame (see [`crate::wire`]) and written
-//! to the peer stream, where a reader thread decodes it and delivers it
-//! to the destination's local channel. Self-sends therefore never touch
+//! the local range goes, as a `(dst, batch)` frame, to that node's
+//! one-member [`Endpoint`]; a batch addressed outside it is encoded as a
+//! length-prefixed frame (see [`crate::wire`]) and written to the peer
+//! stream, where a reader thread decodes it and delivers it to the
+//! destination's local inbox. Self-sends therefore never touch
 //! the wire *or* the fault layer — the check sits in [`crate::fabric::Net`],
 //! above the transport, identical on every backend.
 //!
 //! Two construction modes:
 //!
-//! * [`pair_with`] — a **loopback pair** inside one process: all `n`
+//! * [`pair`] — a **loopback pair** inside one process: all `n`
 //!   endpoints are returned, but every batch crossing the configured
 //!   split traverses a real TCP socket, full codec and framing included.
 //!   This is what the backend-equivalence suite and the perf gate run,
@@ -23,7 +23,7 @@
 //!   rendezvous handshake keyed by node range. The `socket_smoke` bench
 //!   binary drives protocol traffic across two processes this way.
 //!
-//! Teardown accounting matches the in-process backends: a batch that
+//! Teardown accounting matches the in-process backend: a batch that
 //! cannot be delivered because its destination inbox is gone is counted
 //! via [`FabricCtl::count_teardown_drop`], whether the failure happens at
 //! the sender (local channel closed, peer stream closed) or on the
@@ -37,9 +37,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fabric::{
-    make_net, BatchConfig, Endpoint, FabricCtl, Transport, Undeliverable, WireBatch,
+    fault_layer, make_net, BatchConfig, Endpoint, FabricCtl, Frame, Transport, Undeliverable,
+    WireBatch,
 };
-use crate::faults::{FaultHook, FaultPlan, FaultState};
+use crate::faults::{FaultHook, FaultPlan};
 use crate::stats::FaultStats;
 use crate::sync::{channel, Mutex, Sender};
 use crate::wire::{read_frame, read_hello, write_frame, write_hello, WireCodec};
@@ -76,7 +77,7 @@ impl NodeRange {
 struct SocketTransport<M> {
     total: usize,
     range: NodeRange,
-    local: Arc<[Sender<WireBatch<M>>]>,
+    local: Arc<[Sender<Frame<M>>]>,
     writer: Mutex<BufWriter<TcpStream>>,
 }
 
@@ -84,7 +85,7 @@ impl<M: Send + WireCodec> Transport<M> for SocketTransport<M> {
     fn deliver(&self, dst: NodeId, batch: WireBatch<M>) -> Result<(), Undeliverable> {
         if self.range.contains(dst) {
             return self.local[(dst - self.range.start) as usize]
-                .send(batch)
+                .send((dst, batch))
                 .map_err(|_| Undeliverable);
         }
         let mut w = self.writer.lock();
@@ -102,6 +103,7 @@ impl<M: Send + WireCodec> Transport<M> for SocketTransport<M> {
 /// for as long as any endpoint of the fabric is in use.
 pub struct SocketGuard {
     ctl: Arc<FabricCtl>,
+    faults: Option<Arc<FaultStats>>,
     streams: Vec<TcpStream>,
     readers: Vec<JoinHandle<()>>,
 }
@@ -110,6 +112,11 @@ impl SocketGuard {
     /// The fabric's shared teardown state.
     pub fn ctl(&self) -> &Arc<FabricCtl> {
         &self.ctl
+    }
+
+    /// Per-link fault counters, when the fabric was built with a plan.
+    pub fn fault_stats(&self) -> Option<&Arc<FaultStats>> {
+        self.faults.as_ref()
     }
 
     /// Tear the connection down: signal teardown, shut both directions of
@@ -145,14 +152,8 @@ fn build_side<M: Send + WireCodec + 'static>(
     stream.set_nodelay(true)?;
     let rstream = stream.try_clone()?;
     let wstream = stream.try_clone()?;
-    let mut txs = Vec::with_capacity(range.len as usize);
-    let mut rxs = Vec::with_capacity(range.len as usize);
-    for _ in 0..range.len {
-        let (tx, rx) = channel::<WireBatch<M>>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let local: Arc<[Sender<WireBatch<M>>]> = txs.into();
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..range.len).map(|_| channel::<Frame<M>>()).unzip();
+    let local: Arc<[Sender<Frame<M>>]> = txs.into();
     let transport: Arc<dyn Transport<M>> = Arc::new(SocketTransport {
         total,
         range,
@@ -177,7 +178,7 @@ fn build_side<M: Send + WireCodec + 'static>(
                             continue;
                         }
                         let n = batch.msgs.len() as u64;
-                        if local[(dst - range.start) as usize].send(batch).is_err() {
+                        if local[(dst - range.start) as usize].send((dst, batch)).is_err() {
                             // The endpoint is gone; same accounting as a
                             // failed in-process delivery.
                             reader_ctl.count_teardown_drop(n, dst);
@@ -207,7 +208,7 @@ fn build_side<M: Send + WireCodec + 'static>(
                 faults.clone(),
                 batch,
             );
-            Endpoint::from_parts(me, rx, net)
+            Endpoint::new(rx, vec![net])
         })
         .collect();
     Ok((eps, reader, stream))
@@ -217,15 +218,19 @@ fn build_side<M: Send + WireCodec + 'static>(
 /// where nodes `0..split` and `split..n` sit on opposite ends of a real
 /// TCP connection over `127.0.0.1`. Traffic within a half stays on
 /// channels; traffic across the split is framed, written, read back and
-/// decoded — the full socket path, minus the second process.
-pub fn pair_with<M: Send + WireCodec + 'static>(
+/// decoded — the full socket path, minus the second process. Given a
+/// plan, inter-node links run through the fault layer exactly as
+/// in-process (faults fire at egress-flush time, above the transport);
+/// its per-link counters are [`SocketGuard::fault_stats`].
+pub fn pair<M: Send + Clone + WireCodec + 'static>(
     n: usize,
     split: usize,
-    faults: Option<Arc<dyn FaultHook<M>>>,
     batch: BatchConfig,
+    faults: Option<FaultPlan>,
 ) -> io::Result<(Vec<Endpoint<M>>, SocketGuard)> {
     assert!(n <= MAX_NODES, "egress dirty mask caps the fabric at {MAX_NODES} nodes");
     assert!(split > 0 && split < n, "split must partition 0..{n} into two non-empty halves");
+    let (faults, stats) = faults.map(|plan| fault_layer(n, plan)).unzip();
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let a = TcpStream::connect(addr)?;
@@ -236,22 +241,8 @@ pub fn pair_with<M: Send + WireCodec + 'static>(
     let (mut eps, rd_lo, st_lo) = build_side(n, lo, a, faults.clone(), batch, Arc::clone(&ctl))?;
     let (eps_hi, rd_hi, st_hi) = build_side(n, hi, b, faults, batch, Arc::clone(&ctl))?;
     eps.extend(eps_hi);
-    Ok((eps, SocketGuard { ctl, streams: vec![st_lo, st_hi], readers: vec![rd_lo, rd_hi] }))
-}
-
-/// [`pair_with`] over the fault layer: chaos plans work on the socket
-/// backend exactly as in-process, because faults fire at egress-flush
-/// time, above the transport.
-pub fn pair_faulty_with<M: Send + Clone + WireCodec + 'static>(
-    n: usize,
-    split: usize,
-    plan: FaultPlan,
-    batch: BatchConfig,
-) -> io::Result<(Vec<Endpoint<M>>, Arc<FaultStats>, SocketGuard)> {
-    let faults = Arc::new(FaultState::new(n, plan));
-    let stats = Arc::clone(faults.stats());
-    let (eps, guard) = pair_with(n, split, Some(faults as Arc<dyn FaultHook<M>>), batch)?;
-    Ok((eps, stats, guard))
+    let streams = vec![st_lo, st_hi];
+    Ok((eps, SocketGuard { ctl, faults: stats, streams, readers: vec![rd_lo, rd_hi] }))
 }
 
 /// The listening side of a genuine two-process rendezvous.
@@ -322,7 +313,7 @@ fn handshake_and_build<M: Send + WireCodec + 'static>(
     validate_peer(total as u16, range, p_total, peer)?;
     let ctl = Arc::new(FabricCtl::default());
     let (eps, reader, stream) = build_side(total, range, stream, None, batch, Arc::clone(&ctl))?;
-    Ok((eps, SocketGuard { ctl, streams: vec![stream], readers: vec![reader] }))
+    Ok((eps, SocketGuard { ctl, faults: None, streams: vec![stream], readers: vec![reader] }))
 }
 
 /// The rendezvous key: both sides must agree on the machine size and
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn cross_split_traffic_keeps_per_link_fifo() {
-        let (eps, _guard) = pair_with::<P>(4, 2, None, BatchConfig::new(8)).unwrap();
+        let (eps, _guard) = pair::<P>(4, 2, BatchConfig::new(8), None).unwrap();
         for i in 0..300 {
             eps[0].net().send(3, P(i));
         }
@@ -383,7 +374,7 @@ mod tests {
 
     #[test]
     fn singleton_batches_cross_the_wire_as_singletons() {
-        let (eps, _guard) = pair_with::<P>(2, 1, None, BatchConfig::off()).unwrap();
+        let (eps, _guard) = pair::<P>(2, 1, BatchConfig::off(), None).unwrap();
         eps[0].net().send(1, P(7));
         eps[0].net().flush_all();
         let env = eps[1].recv().unwrap();
@@ -396,7 +387,8 @@ mod tests {
         // (unbuffered, unfaulted, never framed) while cross-split sends
         // all die in the fault layer before reaching the stream.
         let plan = FaultPlan::new(1).dropping(1000);
-        let (eps, stats, _guard) = pair_faulty_with::<P>(2, 1, plan, BatchConfig::new(4)).unwrap();
+        let (eps, guard) = pair::<P>(2, 1, BatchConfig::new(4), Some(plan)).unwrap();
+        let stats = guard.fault_stats().expect("faulty fabric");
         for i in 0..50 {
             eps[1].net().send(1, P(i)); // self-send on the remote half
             eps[1].net().send(0, P(1000 + i)); // cross-split, will be dropped
@@ -418,7 +410,7 @@ mod tests {
         // The sender's write succeeds (the stream is alive); the loss is
         // detected by the receiving side's reader thread and must be
         // counted on the shared ctl, exactly like an in-process drop.
-        let (mut eps, guard) = pair_with::<P>(2, 1, None, BatchConfig::off()).unwrap();
+        let (mut eps, guard) = pair::<P>(2, 1, BatchConfig::off(), None).unwrap();
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         let net0 = e0.net().clone();
@@ -491,7 +483,7 @@ mod tests {
 
     #[test]
     fn wire_counters_still_fire_on_socket_backend() {
-        let (eps, guard) = pair_with::<P>(2, 1, None, BatchConfig::new(4)).unwrap();
+        let (eps, guard) = pair::<P>(2, 1, BatchConfig::new(4), None).unwrap();
         for i in 0..8 {
             eps[0].net().send(1, P(i));
         }

@@ -139,7 +139,7 @@ fn batched_faulty_fabric_keeps_per_link_fifo() {
         // source so each link's stream can be recovered at the receiver.
         let mut runs: Vec<Vec<Vec<u64>>> = Vec::new();
         for max in [1usize, batch] {
-            let (eps, _stats) = Fabric::new_faulty_with::<u64>(3, plan, BatchConfig::new(max));
+            let (eps, _stats) = Fabric::build::<u64>(3, 3, BatchConfig::new(max), Some(plan));
             for seq in 0..count {
                 eps[0].net().send(2, seq);
                 eps[1].net().send(2, (1 << 32) | seq);
