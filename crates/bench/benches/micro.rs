@@ -7,19 +7,26 @@
 //! * `dataflow/solve_32aggs_6deep` — the bit-vector fixpoint on a deep
 //!   loop nest;
 //! * `mem/iter_blocks_1k_resident` — the dense block walk of the flat
-//!   paged arena.
+//!   paged arena;
+//! * `check/coherence_32x10k` — one whole-machine coherence check
+//!   (`stache::check_coherence`, what every validated run pays after its
+//!   last phase) over 32 nodes holding ~10 000 blocks each.
 //!
 //! Run with `cargo bench -p prescient-bench --bench micro`. Each bench runs
 //! once to warm up, then reports the median time per iteration of
 //! [`SAMPLES`] timed samples.
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prescient_cstar::cfg::CfgBuilder;
 use prescient_cstar::dataflow::ReachingUnstructured;
 use prescient_runtime::{Agg1D, Dist1D, Machine, MachineConfig, NodeCtx};
-use prescient_tempest::{GlobalLayout, NodeMem};
+use prescient_stache::{check_coherence, DirState, Msg, NodeShared};
+use prescient_tempest::fabric::{BatchConfig, Fabric};
+use prescient_tempest::sync::channel;
+use prescient_tempest::{CostModel, GlobalLayout, NodeId, NodeMem, NodeSet, SmallRng, Tag};
 
 const SAMPLES: usize = 11;
 
@@ -116,9 +123,68 @@ fn bench_mem() {
     bench("mem/iter_blocks_1k_resident", 10_000, timed(|| mem.iter_blocks().count()));
 }
 
+/// A quiescent, coherent 32-node machine (no protocol threads) in a
+/// barnes-like mix: each node homes 3 000 blocks of 128 B, of which 70 %
+/// are shared by three nearby readers, 20 % owned by one nearby writer,
+/// and 10 % uncached. That is ~10 000 materialized blocks per node.
+fn coherent_machine() -> Vec<Arc<NodeShared>> {
+    const NODES: usize = 32;
+    const BS: usize = 128;
+    const HOME_BLOCKS: u64 = 3_000;
+    let layout = GlobalLayout::new(NODES, BS);
+    let nodes: Vec<Arc<NodeShared>> = Fabric::new_with::<Msg>(NODES, BatchConfig::new(1))
+        .into_iter()
+        .map(|ep| {
+            let (wake_tx, _) = channel();
+            Arc::new(NodeShared::new(layout, CostModel::default(), ep.net().clone(), wake_tx))
+        })
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(0xc4ec);
+    for h in 0..NODES {
+        let mut dir = nodes[h].dir.lock();
+        for i in 0..HOME_BLOCKS {
+            let block = layout.heap_base(h as NodeId).add(i * BS as u64).block(BS);
+            let bytes = [i as u8; BS];
+            let put = |p: usize, tag| nodes[p].mem.lock().install(block, &bytes, tag, false);
+            let near = |rng: &mut SmallRng| (h + 1 + rng.below(4) as usize) % NODES;
+            dir.entry(block).state = match rng.below(10) {
+                0..=6 => {
+                    put(h, Tag::ReadOnly);
+                    let mut readers = NodeSet::EMPTY;
+                    while readers.len() < 3 {
+                        readers.insert(near(&mut rng) as NodeId);
+                    }
+                    for r in readers.iter() {
+                        put(r as usize, Tag::ReadOnly);
+                    }
+                    DirState::Shared(readers)
+                }
+                7..=8 => {
+                    put(h, Tag::Invalid);
+                    let owner = near(&mut rng);
+                    put(owner, Tag::ReadWrite);
+                    DirState::Exclusive(owner as NodeId)
+                }
+                _ => {
+                    put(h, Tag::ReadWrite);
+                    DirState::Uncached
+                }
+            };
+        }
+    }
+    nodes
+}
+
+fn bench_check() {
+    let nodes = coherent_machine();
+    assert!(check_coherence(&nodes).is_empty(), "the bench state must be coherent");
+    bench("check/coherence_32x10k", 1, timed(|| check_coherence(&nodes)));
+}
+
 fn main() {
     bench_access();
     bench_compiler();
     bench_dataflow();
     bench_mem();
+    bench_check();
 }

@@ -224,8 +224,11 @@ pub struct MachineConfig {
     /// fabric can drop or delay messages).
     pub retry: RetryConfig,
     /// Run the whole-machine coherence check after every [`run`]
-    /// (`crate::Machine::run`) returns; panics on violations. Cheap for
-    /// test-sized machines, intended for chaos tests.
+    /// (`crate::Machine::run`) returns; a violation fails the run with
+    /// `FailureKind::Incoherent`. The check runs serially on the calling
+    /// thread and costs O(B · log n) for B blocks materialized on n
+    /// nodes: ~32 ms per run for paper-scale barnes (32 nodes, 322 000
+    /// blocks) on a 2-core host.
     pub validate: bool,
     /// Fabric egress aggregation policy. Constructors take the
     /// `PRESCIENT_BATCH` environment override when present (the CI chaos

@@ -83,6 +83,9 @@ struct MetricsRt {
     runs: u64,
 }
 
+/// How many violations a coherence failure quotes (the count covers all).
+const QUOTED_VIOLATIONS: usize = 8;
+
 /// Shard count for `FabricKind::Sharded { shards: 0 }`: half the host's
 /// parallelism — the compute threads need the other half — but at least
 /// one and at most one shard per node.
@@ -335,11 +338,29 @@ impl Machine {
 
     /// Verify all coherence invariants (single writer / valid sharers /
     /// data agreement — see `prescient_stache::check`). Only meaningful
-    /// between runs, when the machine is quiescent. Panics with the list
-    /// of violations if any invariant is broken.
+    /// between runs, when the machine is quiescent. Panics with the
+    /// violation count and the first 8 violations if any invariant is
+    /// broken.
     pub fn assert_coherent(&self) {
+        if let Some(report) = self.incoherence() {
+            panic!("{report}");
+        }
+    }
+
+    /// The coherence check's failure report (`None` when clean): the
+    /// violation count and the first `QUOTED_VIOLATIONS` of them, so a
+    /// paper-scale failure stays readable.
+    fn incoherence(&self) -> Option<String> {
         let violations = prescient_stache::check_coherence(&self.shareds);
-        assert!(violations.is_empty(), "coherence violations: {violations:#?}");
+        if violations.is_empty() {
+            return None;
+        }
+        let quoted = &violations[..violations.len().min(QUOTED_VIOLATIONS)];
+        Some(format!(
+            "coherence violations: {} in all, first {}: {quoted:#?}",
+            violations.len(),
+            quoted.len()
+        ))
     }
 
     /// Run an SPMD program: `f` executes concurrently on every node's
@@ -366,6 +387,8 @@ impl Machine {
     /// panic on one node can never hang the other 31 in a barrier). With a
     /// watchdog configured, zero-progress hangs (e.g. a full partition)
     /// are converted the same way within the watchdog's wall-clock budget.
+    /// A [validated](crate::MachineConfig::validated) run whose final state
+    /// breaks a coherence invariant returns [`FailureKind::Incoherent`].
     ///
     /// A machine that returned `Err` is dead — the fabric abort flag and
     /// barrier poison stay raised; build a fresh machine to run again.
@@ -539,7 +562,12 @@ impl Machine {
             // completed, so the machine is quiescent (straggler duplicates
             // still parked in the fault layer cannot change protocol state
             // — the handlers reject them by seqno/op/epoch).
-            self.assert_coherent();
+            if let Some(report) = self.incoherence() {
+                // Like a panic, an incoherent state kills the machine.
+                self.ctl.abort();
+                self.barrier.poison();
+                return Err(self.machine_error(FailureKind::Incoherent, None, report));
+            }
         }
 
         let mut results = Vec::with_capacity(out.len());

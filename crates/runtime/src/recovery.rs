@@ -166,6 +166,10 @@ pub enum FailureKind {
     /// error instead of a panic mid-assembly, so drivers that reuse a
     /// machine across runs can handle the condition.
     AlreadyRunning,
+    /// A validated run finished, but the quiescent machine breaks a
+    /// coherence invariant. The message holds the violation count and
+    /// the first 8 violations.
+    Incoherent,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -175,6 +179,7 @@ impl std::fmt::Display for FailureKind {
             FailureKind::Deadlock => "deadlock",
             FailureKind::Crash => "crash",
             FailureKind::AlreadyRunning => "misuse (already running or dead)",
+            FailureKind::Incoherent => "incoherent",
         })
     }
 }

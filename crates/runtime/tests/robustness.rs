@@ -11,7 +11,7 @@ use prescient_runtime::{
 };
 use prescient_stache::RetryConfig;
 use prescient_tempest::trace::EventKind;
-use prescient_tempest::{CrashPlan, FaultPlan, PartitionSpec, TraceConfig};
+use prescient_tempest::{CrashPlan, FaultPlan, PartitionSpec, Tag, TraceConfig};
 
 const NODES: usize = 4;
 const N: usize = 256;
@@ -281,4 +281,31 @@ fn checkpointing_alone_leaves_gated_counters_untouched() {
     assert_eq!(ts_off.checkpoints, 0);
     assert_eq!(ts_on.checkpoints, 8 * NODES as u64, "one checkpoint per node per phase");
     assert!(ts_on.checkpoint_bytes > 0);
+}
+
+// ---- validation ---------------------------------------------------------
+
+#[test]
+fn incoherent_final_state_is_a_typed_error() {
+    let mut m = Machine::new(MachineConfig::stache(NODES, 64).validated());
+    let a = Agg1D::<f64>::new(&m, N, Dist1D::Block);
+    let addr = a.addr(0); // homed at node 0
+    let err = m
+        .try_run(|ctx: &mut NodeCtx| {
+            if ctx.me() == 1 {
+                let _: f64 = ctx.read(addr);
+            }
+            ctx.barrier();
+            // The directory now says Shared({1}); revoke the home's own
+            // read permission behind the protocol's back.
+            if ctx.me() == 0 {
+                let block = ctx.node().layout.block_of(addr);
+                ctx.node().mem.lock().set_tag(block, Tag::Invalid);
+            }
+        })
+        .expect_err("a corrupted tag must fail validation");
+    assert_eq!(err.kind, FailureKind::Incoherent);
+    assert!(err.message.starts_with("coherence violations: 1 in all, first 1:"), "{}", err.message);
+    assert!(err.message.contains("Shared but home 0 tag is Invalid"), "{}", err.message);
+    assert!(m.try_run(|_| ()).is_err_and(|e| e.kind == FailureKind::AlreadyRunning));
 }
